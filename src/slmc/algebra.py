@@ -10,16 +10,18 @@ exactly that, so all series below are finite and exact.
 
 Operations: bracket evaluation, the bar-type coderivation on symmetric
 words, the generalized Jacobi relation scan, curvature and Maurer-Cartan
-tests, twisting by an MC element, and direct sums.
+tests, twisting by an MC element, and direct sums.  Every bracket series
+here is one `contract` of the bracket tables against a word sum: the
+product of the arguments, exp(a) for curvature, exp(a) times the arguments
+for twisted brackets, Q(w) for the relations.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Mapping, Sequence
+from functools import reduce
+from typing import Mapping, Sequence
 
 from .caps import get_caps
 from .errors import InputError, PreconditionError, ResourceCapError
@@ -28,11 +30,11 @@ from .graded import (
     GradedSpace,
     Word,
     WordSum,
-    as_fraction,
     canonical_word,
+    comultiply,
+    contract,
+    exp_element,
     iter_words,
-    koszul_sign,
-    shuffles,
     word_degree,
     word_weight,
 )
@@ -181,26 +183,17 @@ def _render_terms(e: Element) -> str:
 
 def eval_bracket(alg: SLAlgebra, args: Sequence[Element]) -> Element:
     """Multilinear evaluation of the arity-len(args) bracket."""
-    m = len(args)
-    if m < 1:
+    return contract(alg.brackets, _argument_product(alg, args), alg.space)
+
+
+def _argument_product(alg: SLAlgebra, args: Sequence[Element]) -> WordSum:
+    """The product of the bracket arguments in the symmetric algebra."""
+    if not args:
         raise InputError("bracket arity must be >= 1")
     for a in args:
         if a.space != alg.space:
             raise InputError("bracket argument lives in a different space")
-    table = alg.brackets.get(m)
-    result = Element.zero(alg.space)
-    if not table or any(a.is_zero() for a in args):
-        return result
-    for combo in product(*[list(a.terms.items()) for a in args]):
-        syms = [s for s, _ in combo]
-        coeff = math.prod((c for _, c in combo), start=Fraction(1))
-        word, sign = canonical_word(alg.space, syms)
-        if sign == 0:
-            continue
-        value = table.get(word)
-        if value is not None:
-            result += value * (coeff * sign)
-    return result
+    return reduce(WordSum.__mul__, (WordSum.of_element(a) for a in args))
 
 
 def apply_coderivation(alg: SLAlgebra, word: Sequence[str] | WordSum) -> WordSum:
@@ -208,6 +201,7 @@ def apply_coderivation(alg: SLAlgebra, word: Sequence[str] | WordSum) -> WordSum
 
     Q(v_1 ... v_n) = sum_{k=1..n} sum_{sigma in Sh(k, n-k)} eps(sigma)
     {v_sigma(1..k)} . v_sigma(k+1) ... v_sigma(n).  The empty word maps to 0.
+    The k = n term is the whole word; the others are its comultiplication.
     """
     if isinstance(word, WordSum):
         total = WordSum.zero(alg.space)
@@ -215,31 +209,24 @@ def apply_coderivation(alg: SLAlgebra, word: Sequence[str] | WordSum) -> WordSum
             total += apply_coderivation(alg, w).scale(c)
         return total
 
-    factors = tuple(word)
-    n = len(factors)
     space = alg.space
     out: dict[Word, Fraction] = {}
-    if n == 0:
-        return WordSum.zero(space)
-    degs = [space.degree(f) for f in factors]
-    for k in range(1, n + 1):
-        for sigma in shuffles(k, n - k):
-            eps = koszul_sign(sigma, degs)
-            block = [factors[i] for i in sigma[:k]]
-            rest = tuple(factors[i] for i in sigma[k:])
-            bw, bs = canonical_word(space, block)
-            if bs == 0:
+    whole, sign = canonical_word(space, word)
+    splits = list(comultiply(space, word).items())
+    if whole and sign:
+        splits.append(((whole, ()), Fraction(sign)))
+    for (block, rest), c in splits:
+        for sym, v in alg.bracket_on_word(block).terms.items():
+            new_word, s2 = canonical_word(space, (sym,) + rest)
+            if s2 == 0:
                 continue
-            value = alg.bracket_on_word(bw)
-            if value.is_zero():
-                continue
-            for sym, c in value.terms.items():
-                new_word, s2 = canonical_word(space, (sym,) + rest)
-                if s2 == 0:
-                    continue
-                coeff = c * eps * bs * s2
-                out[new_word] = out.get(new_word, Fraction(0)) + coeff
+            out[new_word] = out.get(new_word, Fraction(0)) + c * v * s2
     return WordSum(space, out)
+
+
+def relation_scan_arity(alg: SLAlgebra, max_arity: int | None) -> int:
+    """The arity up to which `check_relations` scans: `max_arity`, else min(N+1, 6)."""
+    return min(alg.nilpotency + 1, 6) if max_arity is None else max_arity
 
 
 def check_relations(alg: SLAlgebra, max_arity: int | None = None) -> list[RelationViolation]:
@@ -252,31 +239,14 @@ def check_relations(alg: SLAlgebra, max_arity: int | None = None) -> list[Relati
     vanish by weight additivity.
     """
     caps = get_caps()
-    if max_arity is None:
-        max_arity = min(alg.nilpotency + 1, 6)
+    max_arity = relation_scan_arity(alg, max_arity)
     if max_arity > caps.arity:
         raise ResourceCapError(f"relation scan arity {max_arity} exceeds cap {caps.arity}")
     space = alg.space
     violations = []
     for m in range(1, max_arity + 1):
         for word in iter_words(space, m, max_weight=alg.nilpotency):
-            degs = [space.degree(f) for f in word]
-            residual = Element.zero(space)
-            for k in range(1, m + 1):
-                for sigma in shuffles(k, m - k):
-                    eps = koszul_sign(sigma, degs)
-                    block = [word[i] for i in sigma[:k]]
-                    rest = [word[i] for i in sigma[k:]]
-                    bw, bs = canonical_word(space, block)
-                    if bs == 0:
-                        continue
-                    inner = alg.bracket_on_word(bw)
-                    if inner.is_zero():
-                        continue
-                    outer = eval_bracket(
-                        alg, [inner] + [Element.basis(space, f) for f in rest]
-                    )
-                    residual += outer * (eps * bs)
+            residual = contract(alg.brackets, apply_coderivation(alg, word), space)
             if not residual.is_zero():
                 violations.append(RelationViolation(m, word, residual))
     return violations
@@ -294,12 +264,7 @@ def curvature(alg: SLAlgebra, a: Element) -> Element:
         return Element.zero(alg.space)
     if a.degree() != 0:
         raise InputError(f"curvature requires a degree-0 element, got degree {a.degree()}")
-    result = Element.zero(alg.space)
-    factorial = Fraction(1)
-    for m in range(1, alg.nilpotency):
-        factorial /= m if m > 1 else 1
-        result += eval_bracket(alg, [a] * m) * factorial
-    return result
+    return contract(alg.brackets, exp_element(a, alg.nilpotency, include_unit=False), alg.space)
 
 
 def is_mc(alg: SLAlgebra, a: Element) -> bool:
@@ -338,18 +303,8 @@ def eval_twisted_bracket(
         raise InputError("base point lives outside the algebra")
     if not a.is_zero() and a.degree() != 0:
         raise InputError(f"base point must have degree 0, got {a.degree()}")
-    base = sum(arg.weight() for arg in args) if args else 0
-    value = Element.zero(alg.space)
-    factorial = Fraction(1)
-    k = 0
-    while k + base < alg.nilpotency or k == 0:
-        if k > 0:
-            factorial /= k
-        value += eval_bracket(alg, [a] * k + list(args)) * factorial
-        k += 1
-        if a.is_zero():
-            break
-    return value
+    ws = exp_element(a, alg.nilpotency).product(_argument_product(alg, args), alg.nilpotency)
+    return contract(alg.brackets, ws, alg.space)
 
 
 def twist_algebra(alg: SLAlgebra, alpha: MCElement | Element) -> SLAlgebra:
@@ -359,20 +314,36 @@ def twist_algebra(alg: SLAlgebra, alpha: MCElement | Element) -> SLAlgebra:
     same space, same nilpotency order.
     """
     a = require_mc(alg, alpha)
-    space = alg.space
-    n_ord = alg.nilpotency
-    tables: dict[int, dict[Word, Element]] = {}
-    for m in range(1, max(alg.max_arity(), 1) + 1):
-        for word in iter_words(space, m, max_weight=n_ord):
-            args = [Element.basis(space, f) for f in word]
-            value = eval_twisted_bracket(alg, a, args)
+    arity = max(alg.max_arity(), 1)
+    tables = twist_tables(alg.brackets, alg.space, a, alg.nilpotency, arity, alg.space)
+    name = f"{alg.name}_tw" if alg.name else None
+    return SLAlgebra(alg.space, tables, alg.nilpotency, name=name, validate=False)
+
+
+def twist_tables(
+    tables: Mapping[int, Mapping[Word, Element]],
+    space: GradedSpace,
+    a: Element,
+    bound: int,
+    max_arity: int,
+    target_space: GradedSpace,
+) -> dict[int, dict[Word, Element]]:
+    """Bracket or Taylor tables twisted by a: w -> tables(exp(a) . w).
+
+    Runs over the canonical words of `space` up to `max_arity` with weight
+    below `bound`, and drops words of weight >= `bound` from each exp(a) . w.
+    """
+    exp_a = exp_element(a, bound)
+    # exp(a) below each weight a word leaves room for, built once per twist
+    below = [exp_a.truncate(room) for room in range(bound + 1)]
+    out: dict[int, dict[Word, Element]] = {}
+    for m in range(1, max_arity + 1):
+        for word in iter_words(space, m, max_weight=bound):
+            ws = below[bound - word_weight(space, word)] * WordSum(space, {word: 1})
+            value = contract(tables, ws, target_space)
             if not value.is_zero():
-                tables.setdefault(m, {})[word] = value
-    return SLAlgebra(space, tables, n_ord, name=_twist_name(alg.name), validate=False)
-
-
-def _twist_name(name: str | None) -> str | None:
-    return f"{name}_tw" if name else None
+                out.setdefault(m, {})[word] = value
+    return out
 
 
 def direct_sum(a1: SLAlgebra, a2: SLAlgebra) -> SLAlgebra:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from .algebra import check_relations, curvature, twist_algebra
+from .algebra import check_relations, curvature, relation_scan_arity, twist_algebra
 from .errors import InputError, PreconditionError, ResourceCapError, SlmcError
 from .groupoid import MCSimplex, Obstruction, fill_horn, mc_system, pi0
 from .modelio import (
@@ -24,7 +24,13 @@ from .modelio import (
     render_morphism,
     render_simplex,
 )
-from .morphism import check_morphism, compose_enhanced, compose_infty, pushforward
+from .morphism import (
+    check_morphism,
+    compose_enhanced,
+    compose_infty,
+    morphism_scan_arity,
+    pushforward,
+)
 from .properties import run_all
 
 
@@ -54,7 +60,7 @@ def _cmd_check_algebra(args) -> int:
     name = mf._last("algebra")
     alg = mf.env.algebras[name]
     viols = check_relations(alg, max_arity=args.max_arity)
-    arity = args.max_arity if args.max_arity is not None else min(alg.nilpotency + 1, 6)
+    arity = relation_scan_arity(alg, args.max_arity)
     if not viols:
         print(f"PASS eq:relations algebra={name} max-arity={arity}")
         return 0
@@ -71,7 +77,7 @@ def _cmd_check_morphism(args) -> int:
     name = mf._last("morphism")
     f = mf.env.morphisms[name]
     viols = check_morphism(f, max_arity=args.max_arity)
-    arity = args.max_arity if args.max_arity is not None else f.target.nilpotency - 1
+    arity = morphism_scan_arity(f, args.max_arity)
     if not viols:
         print(f"PASS eq:morphism morphism={name} max-arity={arity}")
         return 0

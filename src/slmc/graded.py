@@ -3,8 +3,9 @@
 This module provides the pieces everything else is built from: a finite
 graded basis with weights (`GradedSpace`), sparse rational vectors
 (`Element`), Koszul sign combinatorics for permutations and (stairway)
-shuffles, canonical representatives of symmetric words, and finite rational
-combinations of such words (`WordSum`).
+shuffles, canonical representatives of symmetric words, finite rational
+combinations of such words (`WordSum`) with their weight-bounded product,
+and `contract`, the one way a bracket or Taylor table acts on a word sum.
 
 Conventions, fixed once here:
 
@@ -403,19 +404,35 @@ class WordSum:
         return WordSum(self.space, {w: v * c for w, v in self.terms.items()})
 
     def __mul__(self, other: WordSum) -> WordSum:
-        """Product in the symmetric algebra (concatenate and canonicalize)."""
         if not isinstance(other, WordSum):
             return NotImplemented
+        return self.product(other)
+
+    def product(self, other: WordSum, weight_bound: int | None = None) -> WordSum:
+        """Product in the symmetric algebra (concatenate and canonicalize).
+
+        With a `weight_bound`, words of weight >= the bound are dropped
+        before they are canonicalized (the filtration-level quotient).
+        """
         if self.space != other.space:
             raise InputError("cannot multiply word sums over different spaces")
+        space = self.space
+        if weight_bound is None:
+            bound, weigh = math.inf, lambda w: 0
+        else:
+            bound, weigh = weight_bound, lambda w: word_weight(space, w)
+        right = [(w, c, weigh(w)) for w, c in other.terms.items()]
         acc: dict[Word, Fraction] = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                word, sign = canonical_word(self.space, w1 + w2)
+            room = bound - weigh(w1)
+            for w2, c2, wt2 in right:
+                if wt2 >= room:
+                    continue
+                word, sign = canonical_word(space, w1 + w2)
                 if sign == 0:
                     continue
                 acc[word] = acc.get(word, Fraction(0)) + c1 * c2 * sign
-        return WordSum(self.space, acc)
+        return WordSum(space, acc)
 
     def truncate(self, max_weight) -> WordSum:
         """Drop words of weight >= max_weight (the filtration-level quotient)."""
@@ -424,15 +441,9 @@ class WordSum:
             {w: c for w, c in self.terms.items() if word_weight(self.space, w) < max_weight},
         )
 
-    def length_part(self, length: int) -> WordSum:
-        return WordSum(self.space, {w: c for w, c in self.terms.items() if len(w) == length})
-
     def linear_part(self) -> Element:
         """The length-1 component as an Element."""
         return Element(self.space, {w[0]: c for w, c in self.terms.items() if len(w) == 1})
-
-    def max_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -447,19 +458,54 @@ def exp_element(a: Element, weight_bound: int, include_unit: bool = True) -> Wor
     `a` must have even total degree in each term for the series to be
     unambiguous; callers use it for degree-0 elements only.
     """
-    space = a.space
-    result = WordSum.unit(space) if include_unit else WordSum.zero(space)
-    power = WordSum.unit(space)
-    factor = Fraction(1)
-    k = 0
     step = WordSum.of_element(a)
-    while True:
-        k += 1
-        factor /= k
-        power = (power * step).truncate(weight_bound)
+    power = WordSum.unit(a.space)
+    result = power if include_unit else WordSum.zero(a.space)
+    # weights >= 1, so a^k has weight >= k and vanishes from k = weight_bound on
+    for k in range(1, weight_bound):
+        power = power.product(step, weight_bound).scale(Fraction(1, k))
         if power.is_zero():
             break
-        result += power.scale(factor)
-        if k > weight_bound:  # defensive; weights >= 1 force power weight >= k
-            break
+        result += power
     return result
+
+
+def contract(
+    tables: Mapping[int, Mapping[Word, Element]], ws: WordSum, target_space: GradedSpace
+) -> Element:
+    """sum_u c_u tables[len u][u] over the canonical words u of `ws`.
+
+    A bracket or Taylor table acts on the symmetric coalgebra this way, and
+    every bracket and Taylor series of the package is one such contraction:
+    of exp(a) for curvature and pushforward, of exp(a).w for twisting, of a
+    coderivation or coalgebra image for the relation and morphism checks.
+    Words missing from the tables contribute zero.
+    """
+    acc: dict[str, Fraction] = {}
+    for u, c in ws.terms.items():
+        value = tables.get(len(u), {}).get(u)
+        if value is None:
+            continue
+        for name, v in value.terms.items():
+            acc[name] = acc.get(name, 0) + c * v
+    return Element(target_space, acc)
+
+
+def comultiply(space: GradedSpace, word: Sequence[str]) -> dict[tuple[Word, Word], Fraction]:
+    """Reduced comultiplication of a word: signed two-block unshuffles.
+
+    Returns a map (left word, right word) -> coefficient with both parts
+    nonempty and canonical.  The word is canonicalized first; the blocks of
+    a nonzero canonical word are canonical and nonzero themselves.
+    """
+    factors, sign = canonical_word(space, word)
+    if sign == 0:
+        return {}
+    n = len(factors)
+    degs = [space.degree(x) for x in factors]
+    out: dict[tuple[Word, Word], Fraction] = {}
+    for k in range(1, n):
+        for sigma in shuffles(k, n - k):
+            key = (tuple(factors[i] for i in sigma[:k]), tuple(factors[i] for i in sigma[k:]))
+            out[key] = out.get(key, Fraction(0)) + sign * koszul_sign(sigma, degs)
+    return {k: v for k, v in out.items() if v}

@@ -19,15 +19,16 @@ degrees are bounded by an explicit parameter so failures are loud.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import MCElement, SLAlgebra, mc_value, require_mc, twist_algebra
+from .algebra import MCElement, SLAlgebra, require_mc, twist_algebra
 from .caps import get_caps
 from .derham import FormKey, PolyForm, _merge_dts
 from .errors import InputError, PreconditionError, ResourceCapError
-from .graded import Element
+from .graded import Element, GradedSpace, Word, koszul_sign
 from .linsolve import solve_linear
 from .morphism import EnhancedMorphism, InftyMorphism
 from .mpoly import MPoly
@@ -196,34 +197,53 @@ class TensorElement:
 # -- the shifted L-infinity structure on L (x) forms ---------------------------
 
 
-def _bracket_primitives(
-    alg: SLAlgebra, dim: int, prims: Sequence[tuple[str, FormKey]]
-) -> list[tuple[str, FormKey, object]]:
-    """Bracket of primitive tensors v_i (x) omega_i with unit coefficients.
+Primitive = tuple[str, FormKey, object]
+Rows = dict[str, dict[FormKey, object]]
 
-    Returns (symbol, form key, rational sign-and-coefficient) triples; the
-    caller multiplies in coefficients.  The sign is the Koszul sign of moving
-    every form factor past the vectors to its right.
+
+def _put(acc: Rows, sym: str, key: FormKey, c) -> None:
+    row = acc.setdefault(sym, {})
+    prev = row.get(key)
+    total = c if prev is None else prev + c
+    if total:
+        row[key] = total
+    else:
+        row.pop(key, None)
+
+
+def _tensor(alg: SLAlgebra, dim: int, acc: Rows) -> TensorElement:
+    return TensorElement(alg, dim, {s: PolyForm(dim, row) for s, row in acc.items() if row})
+
+
+def _contract_primitives(
+    space: GradedSpace,
+    tables: Mapping[int, Mapping[Word, Element]],
+    prims: Sequence[Primitive],
+    coeff,
+    acc: Rows,
+) -> None:
+    """Add coeff * tables(v_1 ... v_k) (x) omega_1 ... omega_k to `acc`.
+
+    The primitive tensors v_i (x) omega_i must be sorted by basis position,
+    so that their symbols form the canonical word the tables are keyed by.
+    The sign is that of moving every form past the vectors to its right.
     """
-    word = tuple(sym for sym, _ in prims)
-    value = alg.bracket_on_word(word)
-    if value.is_zero():
-        return []
-    sign_exp = 0
-    exps = [0] * dim
+    value = tables.get(len(prims), {}).get(tuple(sym for sym, _, _ in prims))
+    if value is None:
+        return
+    degs = [space.degree(sym) for sym, _, _ in prims]
+    sign = 1
     dts: tuple[int, ...] = ()
-    merge = 1
-    for i, (sym, (e, d)) in enumerate(prims):
-        for j in range(i + 1, len(prims)):
-            sign_exp += len(d) * alg.space.degree(prims[j][0])
+    for i, (_, (_, d), _) in enumerate(prims):
         s, dts = _merge_dts(dts, d)
         if s == 0:
-            return []
-        merge *= s
-        exps = [a + b for a, b in zip(exps, e)]
-    sign = merge * (-1 if sign_exp % 2 else 1)
-    key = (tuple(exps), dts)
-    return [(n, key, c * sign) for n, c in value.terms.items()]
+            return
+        sign *= -s if len(d) * sum(degs[i + 1 :]) % 2 else s
+    key = (tuple(map(sum, zip(*(e for _, (e, _), _ in prims)))), dts)
+    for _, _, c in prims:
+        coeff = coeff * c
+    for n, cv in value.terms.items():
+        _put(acc, n, key, coeff * (cv * sign))
 
 
 def tensor_bracket(alg: SLAlgebra, args: Sequence[TensorElement]) -> TensorElement:
@@ -236,40 +256,46 @@ def tensor_bracket(alg: SLAlgebra, args: Sequence[TensorElement]) -> TensorEleme
             raise InputError("tensor element lives outside the algebra")
         if a.dim != dim:
             raise InputError("bracket arguments live on different simplex dimensions")
-    acc: dict[str, dict[FormKey, object]] = {}
-
-    def put(sym: str, key: FormKey, c) -> None:
-        row = acc.setdefault(sym, {})
-        prev = row.get(key)
-        total = c if prev is None else prev + c
-        if total:
-            row[key] = total
-        else:
-            row.pop(key, None)
-
+    space = alg.space
+    acc: Rows = {}
+    # Sort each product of primitives by basis position; the bracket is
+    # graded symmetric in the total degree (symbol plus form degree).
+    for combo in itertools.product(*(a.primitives() for a in args)):
+        order = sorted(range(len(combo)), key=lambda i: space.index(combo[i][0]))
+        total = [space.degree(sym) + len(key[1]) for sym, key, _ in combo]
+        chosen = [combo[i] for i in order]
+        _contract_primitives(space, alg.brackets, chosen, koszul_sign(order, total), acc)
     if len(args) == 1:
-        (x,) = args
-        for sym, form in x.terms.items():
-            dv = alg.differential(Element.basis(alg.space, sym))
-            for n, c in dv.terms.items():
-                for key, fc in form.terms.items():
-                    put(n, key, fc * c)
-            sgn = -1 if alg.space.degree(sym) % 2 else 1
+        # the differential of the forms
+        for sym, form in args[0].terms.items():
+            sgn = -1 if space.degree(sym) % 2 else 1
             for key, fc in form.d().terms.items():
-                put(sym, key, fc * sgn)
-    else:
-        prim_lists = [a.primitives() for a in args]
-        if any(not p for p in prim_lists):
-            return TensorElement.zero(alg, dim)
-        for combo in itertools.product(*prim_lists):
-            coeff = None
-            for _, _, c in combo:
-                coeff = c if coeff is None else coeff * c
-            for sym, key, c in _bracket_primitives(alg, dim, [(s, k) for s, k, _ in combo]):
-                put(sym, key, coeff * c)
-    return TensorElement(
-        alg, dim, {s: PolyForm(dim, row) for s, row in acc.items() if row}
-    )
+                _put(acc, sym, key, fc * sgn)
+    return _tensor(alg, dim, acc)
+
+
+def _exp_series(
+    x: TensorElement,
+    tables: Mapping[int, Mapping[Word, Element]],
+    k_min: int,
+    target: SLAlgebra,
+) -> TensorElement:
+    """sum_{k >= k_min} (1/k!) tables(x^k), over the primitive tensors of x.
+
+    x^k / k! is expanded over multisets of primitives, each weighted by the
+    inverse multinomial; the series stops below the target's nilpotency.
+    """
+    space = x.algebra.space
+    prims = x.primitives()
+    acc: Rows = {}
+    for k in range(k_min, target.nilpotency):
+        if k not in tables:
+            continue
+        for combo in itertools.combinations_with_replacement(range(len(prims)), k):
+            denom = math.prod(math.factorial(len(list(g))) for _, g in itertools.groupby(combo))
+            chosen = [prims[i] for i in combo]
+            _contract_primitives(space, tables, chosen, Fraction(1, denom), acc)
+    return _tensor(target, x.dim, acc)
 
 
 def tensor_curvature(alg: SLAlgebra, x: TensorElement) -> TensorElement:
@@ -279,34 +305,7 @@ def tensor_curvature(alg: SLAlgebra, x: TensorElement) -> TensorElement:
     deg = x.degree()
     if deg is not None and deg != 0:
         raise InputError(f"curvature requires a degree-0 tensor element, got degree {deg}")
-    dim = x.dim
-    out = tensor_bracket(alg, [x])
-    prims = x.primitives()
-    acc: dict[str, dict[FormKey, object]] = {}
-    for m in range(2, alg.nilpotency):
-        if not prims:
-            break
-        for combo in itertools.combinations_with_replacement(range(len(prims)), m):
-            denom = 1
-            for _, group in itertools.groupby(combo):
-                n = len(list(group))
-                for i in range(2, n + 1):
-                    denom *= i
-            chosen = [prims[i] for i in combo]
-            coeff = Fraction(1, denom)
-            for _, _, c in chosen:
-                coeff = coeff * c
-            for sym, key, c in _bracket_primitives(alg, dim, [(s, k) for s, k, _ in chosen]):
-                row = acc.setdefault(sym, {})
-                add = coeff * c
-                prev = row.get(key)
-                total = add if prev is None else prev + add
-                if total:
-                    row[key] = total
-                else:
-                    row.pop(key, None)
-    extra = TensorElement(alg, dim, {s: PolyForm(dim, row) for s, row in acc.items() if row})
-    return out + extra
+    return tensor_bracket(alg, [x]) + _exp_series(x, alg.brackets, 2, alg)
 
 
 class MCSimplex:
@@ -369,56 +368,7 @@ def mc_map(f: InftyMorphism, s: MCSimplex) -> MCSimplex:
     """Push a simplex forward along an infinity-morphism, Taylor term by term."""
     if s.algebra.space != f.source.space:
         raise InputError("simplex lives outside the morphism source")
-    dim = s.dim
-    prims = s.value.primitives()
-    acc: dict[str, dict[FormKey, object]] = {}
-    for k in range(1, f.target.nilpotency):
-        if not prims:
-            break
-        for combo in itertools.combinations_with_replacement(range(len(prims)), k):
-            denom = 1
-            for _, group in itertools.groupby(combo):
-                n = len(list(group))
-                for i in range(2, n + 1):
-                    denom *= i
-            chosen = [prims[i] for i in combo]
-            word = tuple(sym for sym, _, _ in chosen)
-            value = f.coefficient(word)
-            if value.is_zero():
-                continue
-            sign_exp = 0
-            exps = [0] * dim
-            dts: tuple[int, ...] = ()
-            merge = 1
-            dead = False
-            for i, (sym, (e, d), _) in enumerate(chosen):
-                for j in range(i + 1, len(chosen)):
-                    sign_exp += len(d) * f.source.space.degree(chosen[j][0])
-                sg, dts = _merge_dts(dts, d)
-                if sg == 0:
-                    dead = True
-                    break
-                merge *= sg
-                exps = [a + b for a, b in zip(exps, e)]
-            if dead:
-                continue
-            coeff = Fraction(1, denom) * (merge * (-1 if sign_exp % 2 else 1))
-            for _, _, c in chosen:
-                coeff = coeff * c
-            key = (tuple(exps), dts)
-            for n, cv in value.terms.items():
-                row = acc.setdefault(n, {})
-                add = coeff * cv
-                prev = row.get(key)
-                total = add if prev is None else prev + add
-                if total:
-                    row[key] = total
-                else:
-                    row.pop(key, None)
-    value = TensorElement(
-        f.target, dim, {s2: PolyForm(dim, row) for s2, row in acc.items() if row}
-    )
-    return MCSimplex(f.target, value)
+    return MCSimplex(f.target, _exp_series(s.value, f.taylor, 1, f.target))
 
 
 def shift_iso(alg: SLAlgebra, alpha: MCElement | Element, s: MCSimplex) -> MCSimplex:
@@ -534,23 +484,7 @@ class MCSystem:
 
     def substitute(self, values: Sequence[Fraction | int]) -> TensorElement:
         """The concrete tensor element for an assignment of the unknowns."""
-        if len(values) != len(self.slots):
-            raise InputError(
-                f"expected {len(self.slots)} values, got {len(values)}"
-            )
-        terms: dict[str, dict[FormKey, Fraction]] = {}
-        for slot, v in zip(self.slots, values):
-            v = Fraction(v)
-            if not v:
-                continue
-            row = terms.setdefault(slot.symbol, {})
-            key = (slot.exps, slot.dts)
-            row[key] = row.get(key, Fraction(0)) + v
-        return TensorElement(
-            self.algebra,
-            self.dim,
-            {s: PolyForm(self.dim, row) for s, row in terms.items()},
-        )
+        return substitute_slots(self.algebra, self.dim, self.slots, values)
 
     def residuals(self, values: Sequence[Fraction | int]) -> list[Fraction]:
         env = {i: Fraction(v) for i, v in enumerate(values)}
@@ -566,6 +500,47 @@ class MCSystem:
         return [f"{eq.render(self.var_name)} = 0" for eq in self.equations]
 
 
+def substitute_slots(
+    alg: SLAlgebra, dim: int, slots: Sequence[AnsatzSlot], values: Sequence[Fraction | int]
+) -> TensorElement:
+    """The concrete tensor element for an assignment of the ansatz unknowns."""
+    if len(values) != len(slots):
+        raise InputError(f"expected {len(slots)} values, got {len(values)}")
+    acc: Rows = {}
+    for slot, v in zip(slots, values):
+        _put(acc, slot.symbol, (slot.exps, slot.dts), Fraction(v))
+    return _tensor(alg, dim, acc)
+
+
+def _equations(x: TensorElement) -> list[tuple[int, MPoly]]:
+    """The nonzero coefficients of x as polynomials, each with its symbol's
+    weight, in basis order and then form-key order."""
+    space = x.algebra.space
+    out = []
+    for sym, form in x.sorted_terms():
+        for _, c in sorted(form.terms.items()):
+            if isinstance(c, Fraction):
+                c = MPoly.const(c)
+            if c:
+                out.append((space.weight(sym), c))
+    return out
+
+
+def _linear_rows(x: TensorElement, n_slots: int) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """The linear system (rows, rhs) saying every coefficient of x vanishes;
+    the coefficients must be affine in the unknowns."""
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    for _, c in _equations(x):
+        const, lin = c.linear_decompose()
+        row = [Fraction(0)] * n_slots
+        for v, cf in lin.items():
+            row[v] = cf
+        rows.append(row)
+        rhs.append(-const)
+    return rows, rhs
+
+
 def mc_system(alg: SLAlgebra, dim: int, poly_degree: int) -> MCSystem:
     """Expand the curvature of a general ansatz into polynomial equations."""
     if dim > 3:
@@ -573,15 +548,8 @@ def mc_system(alg: SLAlgebra, dim: int, poly_degree: int) -> MCSystem:
     if dim < 0:
         raise InputError(f"simplex dimension must be >= 0, got {dim}")
     ansatz, slots = build_ansatz(alg, dim, poly_degree)
-    curv = tensor_curvature(alg, ansatz)
-    equations: list[MPoly] = []
-    for sym, form in sorted(curv.terms.items(), key=lambda kv: alg.space.index(kv[0])):
-        for _, c in sorted(form.terms.items()):
-            if isinstance(c, Fraction):
-                c = MPoly.const(c)
-            if c:
-                equations.append(c)
-    return MCSystem(alg, dim, poly_degree, tuple(slots), tuple(equations))
+    equations = tuple(c for _, c in _equations(tensor_curvature(alg, ansatz)))
+    return MCSystem(alg, dim, poly_degree, tuple(slots), equations)
 
 
 # -- weight-by-weight lifting ----------------------------------------------------
@@ -632,16 +600,7 @@ def lift_mc(
     linear = tensor_bracket(alg, [correction]).weight_part(k) + target.map_coefficients(
         MPoly.const
     )
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for _, form in sorted(linear.terms.items(), key=lambda kv: alg.space.index(kv[0])):
-        for _, c in sorted(form.terms.items()):
-            const, lin = c.linear_decompose()
-            row = [Fraction(0)] * len(slots)
-            for v, cf in lin.items():
-                row[v] = cf
-            rows.append(row)
-            rhs.append(-const)
+    rows, rhs = _linear_rows(linear, len(slots))
     sol = solve_linear(rows, rhs, len(slots))
     if sol is None:
         return Obstruction(
@@ -649,45 +608,10 @@ def lift_mc(
             witness=target,
             message="the weight-k curvature class is not exact in the correction space",
         )
-    fix = _assign_slots(alg, dim, slots, sol)
-    return s_low + fix
-
-
-def _assign_slots(
-    alg: SLAlgebra, dim: int, slots: Sequence[AnsatzSlot], values: Sequence[Fraction]
-) -> TensorElement:
-    terms: dict[str, dict[FormKey, Fraction]] = {}
-    for slot, v in zip(slots, values):
-        if not v:
-            continue
-        row = terms.setdefault(slot.symbol, {})
-        key = (slot.exps, slot.dts)
-        row[key] = row.get(key, Fraction(0)) + v
-    return TensorElement(alg, dim, {s: PolyForm(dim, row) for s, row in terms.items()})
+    return s_low + substitute_slots(alg, dim, slots, sol)
 
 
 # -- horn filling and path components ---------------------------------------------
-
-
-def _face_equations(
-    ansatz: TensorElement,
-    n_slots: int,
-    face_index: int,
-    target: TensorElement,
-) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Linear system expressing face(ansatz) = target coefficientwise."""
-    diff = ansatz.face(face_index) - target.map_coefficients(MPoly.const)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for _, form in sorted(diff.terms.items()):
-        for _, c in sorted(form.terms.items()):
-            const, lin = c.linear_decompose()
-            row = [Fraction(0)] * n_slots
-            for v, cf in lin.items():
-                row[v] = cf
-            rows.append(row)
-            rhs.append(-const)
-    return rows, rhs
 
 
 def _correct_to_mc(
@@ -713,7 +637,7 @@ def _correct_to_mc(
     face_rows: list[list[Fraction]] = []
     face_rhs: list[Fraction] = []
     for idx, target in sorted(face_targets.items()):
-        rows, rhs = _face_equations(ansatz, n, idx, target)
+        rows, rhs = _linear_rows(ansatz.face(idx) - target.map_coefficients(MPoly.const), n)
         face_rows.extend(rows)
         face_rhs.extend(rhs)
     if seed is None:
@@ -726,20 +650,13 @@ def _correct_to_mc(
             )
     else:
         base = [Fraction(v) for v in seed]
-    curv_sym = tensor_curvature(alg, ansatz)
-    sym_eqs: list[tuple[int, MPoly]] = []
-    for s, form in sorted(curv_sym.terms.items(), key=lambda kv: alg.space.index(kv[0])):
-        w = alg.space.weight(s)
-        for _, c in sorted(form.terms.items()):
-            if isinstance(c, Fraction):
-                c = MPoly.const(c)
-            sym_eqs.append((w, c))
+    sym_eqs = _equations(tensor_curvature(alg, ansatz))
 
     current = list(base)
     stall = 0
     last_level = 0
     while True:
-        candidate = _assign_slots(alg, dim, slots, current)
+        candidate = substitute_slots(alg, dim, slots, current)
         residual = tensor_curvature(alg, candidate)
         if residual.is_zero():
             simplex = MCSimplex(alg, candidate)

@@ -2,9 +2,10 @@
 
 An `InftyMorphism` is stored by its Taylor coefficients: degree-0,
 weight-nondecreasing maps from canonical source words to target elements.
-The induced coalgebra map is reconstructed with stairway-shuffle sums, and
-everything downstream (the morphism check, composition, pushforward,
-twisting) is computed from that reconstruction by exact expansion.
+The induced coalgebra map is reconstructed with stairway-shuffle sums.
+Every Taylor series downstream is one `contract` of a table against a word
+sum: the morphism check (both sides), composition (F of a word), pushforward
+(exp(a)), and twisting (exp(a) times a word).
 
 An `EnhancedMorphism` is a pair (alpha, F): a Maurer-Cartan element alpha of
 the target plus an infinity-morphism from the source into the target twisted
@@ -15,31 +16,30 @@ the `u_map` realizes the pair as the completed-coalgebra map e^alpha * F.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import (
     MCElement,
     SLAlgebra,
-    curvature,
+    apply_coderivation,
     direct_sum_with_maps,
-    eval_bracket,
     mc_value,
     require_mc,
     twist_algebra,
+    twist_tables,
 )
 from .caps import get_caps
 from .errors import InputError, ResourceCapError
 from .graded import (
     Element,
-    GradedSpace,
     Word,
     WordSum,
     canonical_word,
+    comultiply,  # noqa: F401 - re-exported, part of this module's API
+    contract,
     exp_element,
     iter_words,
     koszul_sign,
-    shuffles,
     stairway_shuffles,
     word_degree,
     word_weight,
@@ -126,10 +126,7 @@ class InftyMorphism:
         return value * sign
 
     def linear_part(self, e: Element) -> Element:
-        out = Element.zero(self.target.space)
-        for n, c in e.terms.items():
-            out += self.coefficient((n,)) * c
-        return out
+        return contract(self.taylor, WordSum.of_element(e), self.target.space)
 
     def max_arity(self) -> int:
         return max(self.taylor, default=0)
@@ -217,6 +214,11 @@ def _compositions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def morphism_scan_arity(f: InftyMorphism, max_arity: int | None) -> int:
+    """The arity up to which `check_morphism` scans: `max_arity`, else N_target - 1."""
+    return f.target.nilpotency - 1 if max_arity is None else max_arity
+
+
 def check_morphism(f: InftyMorphism, max_arity: int | None = None) -> list[MorphismViolation]:
     """Scan the morphism equation on canonical source words.
 
@@ -224,23 +226,17 @@ def check_morphism(f: InftyMorphism, max_arity: int | None = None) -> list[Morph
     F'(Q_src(w)) - p(Q_tgt(F(w))), i.e. the corestriction of F o Q - Q~ o F.
     Words of weight >= N_target are skipped (both routes vanish there).
     """
-    from .algebra import apply_coderivation
-
     caps = get_caps()
     n_tgt = f.target.nilpotency
-    if max_arity is None:
-        max_arity = n_tgt - 1
+    max_arity = morphism_scan_arity(f, max_arity)
     if max_arity > caps.arity:
         raise ResourceCapError(f"morphism scan arity {max_arity} exceeds cap {caps.arity}")
+    tgt = f.target.space
     violations = []
     for m in range(1, max_arity + 1):
         for word in iter_words(f.source.space, m, max_weight=n_tgt):
-            lhs = Element.zero(f.target.space)
-            for u, c in apply_coderivation(f.source, word).terms.items():
-                lhs += f.coefficient(u) * c
-            rhs = Element.zero(f.target.space)
-            for u, c in extend_to_coalgebra(f, word).terms.items():
-                rhs += f.target.bracket_on_word(u) * c
+            lhs = contract(f.taylor, apply_coderivation(f.source, word), tgt)
+            rhs = contract(f.target.brackets, extend_to_coalgebra(f, word), tgt)
             residual = lhs - rhs
             if not residual.is_zero():
                 violations.append(MorphismViolation(m, word, residual))
@@ -255,9 +251,7 @@ def compose_infty(g: InftyMorphism, f: InftyMorphism) -> InftyMorphism:
     tables: dict[int, dict[Word, Element]] = {}
     for m in range(1, n_res):
         for word in iter_words(f.source.space, m, max_weight=n_res):
-            value = Element.zero(g.target.space)
-            for u, c in extend_to_coalgebra(f, word).terms.items():
-                value += g.coefficient(u) * c
+            value = contract(g.taylor, extend_to_coalgebra(f, word), g.target.space)
             if not value.is_zero():
                 tables.setdefault(m, {})[word] = value
     name = None
@@ -274,12 +268,8 @@ def pushforward(f: InftyMorphism, a: Element) -> Element:
         return Element.zero(f.target.space)
     if a.degree() != 0:
         raise InputError(f"pushforward requires a degree-0 element, got degree {a.degree()}")
-    bound = f.target.nilpotency
-    powers = exp_element(a, bound, include_unit=False)
-    out = Element.zero(f.target.space)
-    for u, c in powers.terms.items():
-        out += f.coefficient(u) * c
-    return out
+    powers = exp_element(a, f.target.nilpotency, include_unit=False)
+    return contract(f.taylor, powers, f.target.space)
 
 
 def twist_morphism(f: InftyMorphism, alpha: MCElement | Element) -> InftyMorphism:
@@ -292,16 +282,7 @@ def twist_morphism(f: InftyMorphism, alpha: MCElement | Element) -> InftyMorphis
     src_tw = twist_algebra(f.source, a)
     tgt_tw = twist_algebra(f.target, pushforward(f, a))
     n_tgt = f.target.nilpotency
-    exp_a = exp_element(a, n_tgt, include_unit=True)
-    tables: dict[int, dict[Word, Element]] = {}
-    for m in range(1, n_tgt):
-        for word in iter_words(f.source.space, m, max_weight=n_tgt):
-            ws = (exp_a * WordSum.of_word(f.source.space, word)).truncate(n_tgt)
-            value = Element.zero(f.target.space)
-            for u, c in ws.terms.items():
-                value += f.coefficient(u) * c
-            if not value.is_zero():
-                tables.setdefault(m, {})[word] = value
+    tables = twist_tables(f.taylor, f.source.space, a, n_tgt, n_tgt - 1, f.target.space)
     name = f"{f.name}_tw" if f.name else None
     return InftyMorphism(src_tw, tgt_tw, tables, name=name, validate=False)
 
@@ -445,27 +426,4 @@ def u_map(
             fx += WordSum.unit(e.target_base.space).scale(c)
         else:
             fx += extend_to_coalgebra(e.morphism, w).scale(c)
-    exp_a = exp_element(e.alpha, bound, include_unit=True)
-    return (exp_a * fx).truncate(bound)
-
-
-def comultiply(space: GradedSpace, word: Sequence[str]) -> dict[tuple[Word, Word], Fraction]:
-    """Reduced comultiplication of a word: signed two-block unshuffles.
-
-    Returns a map (left word, right word) -> coefficient with both parts
-    nonempty and canonical.
-    """
-    factors = tuple(word)
-    n = len(factors)
-    degs = [space.degree(x) for x in factors]
-    out: dict[tuple[Word, Word], Fraction] = {}
-    for k in range(1, n):
-        for sigma in shuffles(k, n - k):
-            eps = koszul_sign(sigma, degs)
-            lw, ls = canonical_word(space, [factors[i] for i in sigma[:k]])
-            rw, rs = canonical_word(space, [factors[i] for i in sigma[k:]])
-            if ls == 0 or rs == 0:
-                continue
-            key = (lw, rw)
-            out[key] = out.get(key, Fraction(0)) + Fraction(eps * ls * rs)
-    return {k: v for k, v in out.items() if v}
+    return exp_element(e.alpha, bound).product(fx, bound)

@@ -147,6 +147,8 @@ def test_twisted_bracket_at_base():
     assert eval_twisted_bracket(alg, x, [y]) == z
     # at base 0 it is the plain differential, which vanishes here
     assert eval_twisted_bracket(alg, alg.zero(), [y]).is_zero()
+    with pytest.raises(InputError):
+        eval_twisted_bracket(alg, x, [])
 
 
 def test_direct_sum_structure():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from slmc.algebra import direct_sum_with_maps, twist_algebra
+from slmc.algebra import direct_sum_with_maps, eval_bracket, twist_algebra
 from slmc.derham import PolyForm
 from slmc.errors import InputError, PreconditionError
 from slmc.fixtures import (
@@ -38,6 +38,7 @@ from slmc.groupoid import (
     shift_iso,
     shift_iso_inverse,
     split_tensor,
+    tensor_bracket,
     tensor_curvature,
 )
 
@@ -79,6 +80,33 @@ def test_tensor_curvature_frozen():
     # constant MC points are flat as constant simplices
     x = TensorElement.of_element(a2(), 1, a2().basis_element("x"))
     assert tensor_curvature(a2(), x).is_zero()
+
+
+def test_tensor_bracket_on_constants_matches_eval_bracket():
+    # every ordered pair, so brackets given in non-basis order are found too
+    m = mixed()
+    for x in m.space.symbols():
+        for y in m.space.symbols():
+            args = [TensorElement.of_element(m, 0, m.basis_element(n)) for n in (x, y)]
+            expected = eval_bracket(m, [m.basis_element(x), m.basis_element(y)])
+            assert tensor_bracket(m, args) == TensorElement.of_element(m, 0, expected), (x, y)
+
+
+def test_tensor_bracket_graded_symmetric_in_total_degree():
+    m = mixed()
+    prims = [
+        TensorElement(m, 1, {sym: form})
+        for sym in m.space.symbols()
+        for form in (one(), t(), dt())
+    ]
+    nonzero = 0
+    for x in prims:
+        for y in prims:
+            xy = tensor_bracket(m, [x, y])
+            sign = -1 if x.degree() * y.degree() % 2 else 1
+            assert xy == tensor_bracket(m, [y, x]).scale(sign), (x, y)
+            nonzero += not xy.is_zero()
+    assert nonzero > 0
 
 
 def test_path_fixtures_are_flat():
