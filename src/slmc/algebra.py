@@ -356,18 +356,30 @@ def direct_sum_with_maps(
 ) -> tuple[SLAlgebra, dict[str, str], dict[str, str]]:
     """Direct sum plus the symbol renamings used for each summand.
 
-    Colliding symbols are namespaced as ``left.sym`` / ``right.sym``; all
+    Colliding symbols are namespaced as ``left.sym`` / ``right.sym``, with
+    the prefix repeated (``left.left.sym``) until the name is free; all
     other symbols keep their names.  The filtration is the summand-wise one
     and the nilpotency order is the maximum of the two.
     """
     s1 = set(a1.space.symbols())
     s2 = set(a2.space.symbols())
     clash = s1 & s2
-    ren1 = {n: (f"left.{n}" if n in clash else n) for n in a1.space.symbols()}
-    ren2 = {n: (f"right.{n}" if n in clash else n) for n in a2.space.symbols()}
-    names = set(ren1.values()) | set(ren2.values())
-    if len(names) != len(ren1) + len(ren2):
-        raise InputError("direct sum namespacing failed to separate the two bases")
+    taken = (s1 | s2) - clash
+
+    def rename(symbols: tuple[str, ...], prefix: str) -> dict[str, str]:
+        ren = {}
+        for n in symbols:
+            new = n
+            if n in clash:
+                new = f"{prefix}.{n}"
+                while new in taken:
+                    new = f"{prefix}.{new}"
+                taken.add(new)
+            ren[n] = new
+        return ren
+
+    ren1 = rename(a1.space.symbols(), "left")
+    ren2 = rename(a2.space.symbols(), "right")
     basis = [(ren1[n], d, w) for n, d, w in a1.space.basis]
     basis += [(ren2[n], d, w) for n, d, w in a2.space.basis]
     space = GradedSpace(basis)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InputError
 
@@ -29,7 +30,10 @@ class Caps:
     # degree, so the default leaves room for degree-6 ansaetze.
 
 
+@lru_cache(maxsize=16)
 def _parse_caps(text: str) -> Caps:
+    # cached by the text, so a changed SLMC_CAPS takes effect at once; a
+    # malformed value raises, which lru_cache never caches
     values = dict(_DEFAULTS)
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -53,7 +57,4 @@ def _parse_caps(text: str) -> Caps:
 
 def get_caps() -> Caps:
     """Return the active caps, honouring SLMC_CAPS if set."""
-    text = os.environ.get("SLMC_CAPS")
-    if not text:
-        return Caps()
-    return _parse_caps(text)
+    return _parse_caps(os.environ.get("SLMC_CAPS") or "")

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .caps import get_caps
@@ -229,6 +229,22 @@ def shuffles(*block_sizes: int) -> list[tuple[int, ...]]:
     Returned as 0-based image tuples in lexicographic order.  A
     (p, q)-shuffle in the classical sense is `shuffles(p, q)`.
     """
+    return _block_shuffles(block_sizes, stairway=False)
+
+
+def stairway_shuffles(*block_sizes: int) -> list[tuple[int, ...]]:
+    """Shuffles whose nonempty block-leading images increase left to right.
+
+    These index unordered block decompositions exactly once: for every set
+    partition of the positions into increasing blocks there is a unique
+    stairway representative.  They are generated directly, each nonempty
+    block taking the smallest position left plus a combination of the rest,
+    so the result is the stairway subsequence of `shuffles`, in its order.
+    """
+    return _block_shuffles(block_sizes, stairway=True)
+
+
+def _block_shuffles(block_sizes: Sequence[int], stairway: bool) -> list[tuple[int, ...]]:
     sizes = tuple(int(p) for p in block_sizes)
     if any(p < 0 for p in sizes):
         raise InputError("shuffle block sizes must be >= 0")
@@ -242,33 +258,15 @@ def shuffles(*block_sizes: int) -> list[tuple[int, ...]]:
         if b == len(sizes):
             out.append(acc)
             return
-        for chosen in combinations(remaining, sizes[b]):
+        size = sizes[b]
+        if stairway and size:
+            # a stairway block leads with the smallest position left
+            acc, remaining, size = acc + remaining[:1], remaining[1:], size - 1
+        for chosen in combinations(remaining, size):
             taken = set(chosen)
             rec(tuple(v for v in remaining if v not in taken), b + 1, acc + chosen)
 
     rec(tuple(range(n)), 0, ())
-    return out
-
-
-def stairway_shuffles(*block_sizes: int) -> list[tuple[int, ...]]:
-    """Shuffles whose nonempty block-leading images increase left to right.
-
-    These index unordered block decompositions exactly once: for every set
-    partition of the positions into increasing blocks there is a unique
-    stairway representative.
-    """
-    sizes = tuple(int(p) for p in block_sizes)
-    offsets = []
-    off = 0
-    for p in sizes:
-        if p > 0:
-            offsets.append(off)
-        off += p
-    out = []
-    for sigma in shuffles(*sizes):
-        leads = [sigma[o] for o in offsets]
-        if all(a < b for a, b in zip(leads, leads[1:])):
-            out.append(sigma)
     return out
 
 
@@ -325,16 +323,37 @@ def word_weight(space: GradedSpace, word: Sequence[str]) -> int:
 
 
 def iter_words(space: GradedSpace, length: int, max_weight: int | None = None) -> Iterator[Word]:
-    """Canonical nonzero words of the given length, weight < max_weight if set."""
+    """Canonical nonzero words of the given length, weight < max_weight if set.
+
+    Words come in lexicographic order of basis positions.  They are built
+    directly as nondecreasing position sequences: an odd-degree symbol is
+    never repeated, and a branch stops as soon as the weight left cannot hold
+    the symbols still to place, so no word is canonicalized or dropped.
+    """
     if length > get_caps().word:
         raise ResourceCapError(f"word length {length} exceeds cap {get_caps().word}")
-    for combo in combinations_with_replacement(space.symbols(), length):
-        word, sign = canonical_word(space, combo)
-        if sign == 0:
-            continue
-        if max_weight is not None and word_weight(space, word) >= max_weight:
-            continue
-        yield word
+    rows = space.basis
+    n = len(rows)
+    # least weight of a symbol at basis position >= i
+    floor = [math.inf] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        floor[i] = min(rows[i][2], floor[i + 1])
+
+    def grow(prefix: Word, start: int, room, left: int) -> Iterator[Word]:
+        for i in range(start, n):
+            name, deg, wt = rows[i]
+            nxt = i + 1 if deg % 2 else i
+            if left == 1:
+                if wt < room:
+                    yield prefix + (name,)
+            elif wt + (left - 1) * floor[nxt] < room:
+                yield from grow(prefix + (name,), nxt, room - wt, left - 1)
+
+    room = math.inf if max_weight is None else max_weight
+    if length > 0:
+        yield from grow((), 0, room, length)
+    elif length == 0 and room > 0:
+        yield ()
 
 
 class WordSum:

@@ -2,7 +2,7 @@
 
 An `InftyMorphism` is stored by its Taylor coefficients: degree-0,
 weight-nondecreasing maps from canonical source words to target elements.
-The induced coalgebra map is reconstructed with stairway-shuffle sums.
+The induced coalgebra map is reconstructed with set-partition sums.
 Every Taylor series downstream is one `contract` of a table against a word
 sum: the morphism check (both sides), composition (F of a word), pushforward
 (exp(a)), and twisting (exp(a) times a word).
@@ -16,6 +16,8 @@ the `u_map` realizes the pair as the completed-coalgebra map e^alpha * F.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .algebra import (
@@ -39,8 +41,6 @@ from .graded import (
     contract,
     exp_element,
     iter_words,
-    koszul_sign,
-    stairway_shuffles,
     word_degree,
     word_weight,
 )
@@ -156,62 +156,65 @@ class MorphismViolation:
         return f"m={self.arity} word={'.'.join(self.word)} witness={terms}"
 
 
-def extend_to_coalgebra(f: InftyMorphism, word: Sequence[str] | WordSum) -> WordSum:
-    """The coalgebra map on a word: stairway-shuffle sum of Taylor products.
+def extend_to_coalgebra(
+    f: InftyMorphism, word: Sequence[str] | WordSum, weight_bound: int | None = None
+) -> WordSum:
+    """The coalgebra map on a word: set-partition sum of Taylor products.
 
     F(v_1 ... v_n) = sum over set partitions of the positions into increasing
-    blocks (stairway shuffles over ordered compositions) of the Koszul-signed
-    product F'(block_1) ... F'(block_t).  Extends linearly to word sums; the
-    empty word is NOT given a unit image here (see `u_map` for the completed,
-    unit-preserving version).
+    blocks of the Koszul-signed product F'(block_1) ... F'(block_t).  The word
+    is canonicalized once, so every block is a canonical word and its
+    coefficient a plain table lookup.  Partitions are built block by block,
+    each block taking the smallest position left; a branch stops at the
+    first block with a zero Taylor coefficient, and, with a `weight_bound`,
+    as soon as the product so far has no word of weight below the bound.
+    So the result equals the unbounded one truncated at `weight_bound`.
+    Extends linearly to word sums; the empty word is NOT given a unit image
+    here (see `u_map` for the completed, unit-preserving version).
     """
     if isinstance(word, WordSum):
         total = WordSum.zero(f.target.space)
         for w, c in word.terms.items():
-            total += extend_to_coalgebra(f, w).scale(c)
+            total += extend_to_coalgebra(f, w, weight_bound).scale(c)
         return total
 
     factors = tuple(word)
-    n = len(factors)
     caps = get_caps()
-    if n > caps.word:
-        raise ResourceCapError(f"word length {n} exceeds cap {caps.word}")
+    if len(factors) > caps.word:
+        raise ResourceCapError(f"word length {len(factors)} exceeds cap {caps.word}")
     src = f.source.space
     tgt = f.target.space
-    if n == 0:
+    factors, sign = canonical_word(src, factors)
+    if sign == 0 or not factors:
         return WordSum.zero(tgt)
-    degs = [src.degree(x) for x in factors]
-    out = WordSum.zero(tgt)
-    for comp in _compositions(n):
-        for sigma in stairway_shuffles(*comp):
-            eps = koszul_sign(sigma, degs)
-            blocks = []
-            off = 0
-            for size in comp:
-                blocks.append([factors[i] for i in sigma[off : off + size]])
-                off += size
-            product = WordSum.unit(tgt)
-            for block in blocks:
-                value = f.coefficient(block)
-                if value.is_zero():
-                    product = WordSum.zero(tgt)
-                    break
-                product = product * WordSum.of_element(value)
-            if product.is_zero():
-                continue
-            out += product.scale(eps)
-    return out
+    odd = [src.degree(x) % 2 for x in factors]
+    arities = sorted(f.taylor)
+    out: dict[Word, Fraction] = {}
 
+    def expand(rest: tuple[int, ...], product: WordSum, eps: int) -> None:
+        if not rest:
+            for w, c in product.terms.items():
+                out[w] = out.get(w, 0) + eps * c
+            return
+        head, pool = rest[0], rest[1:]
+        for m in arities:
+            if m > len(rest):
+                break
+            table = f.taylor[m]
+            for chosen in combinations(pool, m - 1):
+                value = table.get((factors[head],) + tuple(factors[i] for i in chosen))
+                if value is None:
+                    continue
+                nxt = product.product(WordSum.of_element(value), weight_bound)
+                if nxt.is_zero():
+                    continue
+                left = tuple(i for i in pool if i not in chosen)
+                # Koszul sign of moving the block in front of the positions left
+                flips = sum(odd[b] and odd[r] for b in chosen for r in left if r < b)
+                expand(left, nxt, -eps if flips % 2 else eps)
 
-def _compositions(n: int) -> list[tuple[int, ...]]:
-    """Ordered compositions of n into positive parts."""
-    if n == 0:
-        return [()]
-    out = []
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            out.append((first,) + rest)
-    return out
+    expand(tuple(range(len(factors))), WordSum.unit(tgt), sign)
+    return WordSum(tgt, out)
 
 
 def morphism_scan_arity(f: InftyMorphism, max_arity: int | None) -> int:
@@ -236,7 +239,7 @@ def check_morphism(f: InftyMorphism, max_arity: int | None = None) -> list[Morph
     for m in range(1, max_arity + 1):
         for word in iter_words(f.source.space, m, max_weight=n_tgt):
             lhs = contract(f.taylor, apply_coderivation(f.source, word), tgt)
-            rhs = contract(f.target.brackets, extend_to_coalgebra(f, word), tgt)
+            rhs = contract(f.target.brackets, extend_to_coalgebra(f, word, n_tgt), tgt)
             residual = lhs - rhs
             if not residual.is_zero():
                 violations.append(MorphismViolation(m, word, residual))
@@ -251,7 +254,7 @@ def compose_infty(g: InftyMorphism, f: InftyMorphism) -> InftyMorphism:
     tables: dict[int, dict[Word, Element]] = {}
     for m in range(1, n_res):
         for word in iter_words(f.source.space, m, max_weight=n_res):
-            value = contract(g.taylor, extend_to_coalgebra(f, word), g.target.space)
+            value = contract(g.taylor, extend_to_coalgebra(f, word, n_res), g.target.space)
             if not value.is_zero():
                 tables.setdefault(m, {})[word] = value
     name = None
@@ -425,5 +428,5 @@ def u_map(
         if len(w) == 0:
             fx += WordSum.unit(e.target_base.space).scale(c)
         else:
-            fx += extend_to_coalgebra(e.morphism, w).scale(c)
+            fx += extend_to_coalgebra(e.morphism, w, bound).scale(c)
     return exp_element(e.alpha, bound).product(fx, bound)

@@ -198,3 +198,19 @@ def test_default_relation_scan_arity():
     alg = a2()
     assert check_relations(alg, max_arity=5) == []
     assert alg.max_arity() == 2
+
+
+def test_direct_sum_nested_names_stay_free():
+    a = a2()
+    nested = direct_sum(direct_sum(direct_sum(a, a), a), a)
+    syms = a.space.symbols()
+    three = direct_sum(direct_sum(a, a), a)
+    # names that never collided keep the names they had before
+    assert three.space.symbols() == tuple(
+        [f"left.{s}" for s in syms] + [f"right.{s}" for s in syms] + list(syms)
+    )
+    assert nested.space.symbols() == three.space.symbols()[: 2 * len(syms)] + tuple(
+        [f"left.left.{s}" for s in syms] + [f"right.right.{s}" for s in syms]
+    )
+    assert sum(len(t) for t in nested.brackets.values()) == 4 * sum(len(t) for t in a.brackets.values())
+    assert check_relations(nested) == []

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slmc.caps import get_caps
+from slmc.caps import Caps, get_caps
 from slmc.errors import InputError, ResourceCapError
 from slmc.graded import (
     Element,
@@ -260,3 +262,76 @@ def test_wordsum_linear_part():
     assert w.linear_part() == x
     assert WordSum.zero(SPACE).is_zero()
     assert WordSum.unit(SPACE).terms == {(): Fraction(1)}
+
+
+def filtered_words(space, length, max_weight=None):
+    """Oracle: canonicalize every combination, then drop zero and heavy words."""
+    for combo in itertools.combinations_with_replacement(space.symbols(), length):
+        word, sign = canonical_word(space, combo)
+        if sign and (max_weight is None or word_weight(space, word) < max_weight):
+            yield word
+
+
+def test_iter_words_matches_filtered_enumeration():
+    rng = random.Random(7)
+    for trial in range(60):
+        basis = [(f"s{i}", rng.randint(-2, 2), rng.randint(1, 3)) for i in range(rng.randint(0, 6))]
+        space = GradedSpace(basis)
+        for length in range(0, 5):
+            for max_weight in (None, 1, 2, 3, 4, 6):
+                got = list(iter_words(space, length, max_weight))
+                assert got == list(filtered_words(space, length, max_weight)), (basis, length, max_weight)
+
+
+def test_iter_words_builds_no_word_it_drops(monkeypatch):
+    import slmc.graded as graded
+    from slmc.algebra import direct_sum
+    from slmc.fixtures import heis_ext
+
+    space = functools.reduce(direct_sum, [heis_ext()] * 6).space
+    calls = []
+    real = graded.canonical_word
+    monkeypatch.setattr(graded, "canonical_word", lambda *a: calls.append(a) or real(*a))
+    # weights are >= 1 and N = 3, so no word of length 4 survives
+    assert list(iter_words(space, 4, max_weight=3)) == []
+    assert calls == []
+
+
+def compositions(n):
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
+def test_stairway_shuffles_are_filtered_shuffles():
+    bell = [1, 1, 2, 5, 15, 52, 203]
+    for n in range(0, 7):
+        total = 0
+        for comp in compositions(n):
+            offsets = list(itertools.accumulate((0,) + comp[:-1]))
+            filtered = [
+                sigma
+                for sigma in shuffles(*comp)
+                if all(sigma[a] < sigma[b] for a, b in zip(offsets, offsets[1:]))
+            ]
+            assert stairway_shuffles(*comp) == filtered
+            total += len(filtered)
+        assert total == bell[n]
+    # empty blocks are skipped, as in the filtered shuffles
+    assert stairway_shuffles(2, 0, 1) == [(0, 1, 2), (0, 2, 1)]
+
+
+def test_caps_follow_environment_changes(monkeypatch):
+    monkeypatch.setenv("SLMC_CAPS", "word=5")
+    assert get_caps().word == 5
+    assert get_caps() is get_caps()
+    monkeypatch.setenv("SLMC_CAPS", "word=7,poly=3")
+    assert (get_caps().word, get_caps().poly) == (7, 3)
+    monkeypatch.setenv("SLMC_CAPS", "word=x")
+    for _ in range(2):
+        with pytest.raises(InputError):
+            get_caps()
+    monkeypatch.delenv("SLMC_CAPS")
+    assert get_caps() == Caps()

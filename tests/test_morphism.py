@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from slmc.algebra import twist_algebra
+from slmc.algebra import SLAlgebra, twist_algebra
 from slmc.errors import InputError, PreconditionError
 from slmc.fixtures import (
     a2,
@@ -22,7 +23,7 @@ from slmc.fixtures import (
     scale_contr,
     scale_mix,
 )
-from slmc.graded import WordSum
+from slmc.graded import Element, GradedSpace, WordSum, iter_words, koszul_sign, stairway_shuffles
 from slmc.morphism import (
     EnhancedMorphism,
     InftyMorphism,
@@ -195,3 +196,103 @@ def test_scale_contr_linear():
     e = contractible().basis_element("e")
     assert f.linear_part(e) == e * 3
     assert check_morphism(f) == []
+
+
+def stairway_extension(f, word):
+    """Oracle: the stairway-shuffle sum over every ordered composition."""
+
+    def compositions(n):
+        if n == 0:
+            yield ()
+        for first in range(1, n + 1):
+            for rest in compositions(n - first):
+                yield (first,) + rest
+
+    src, tgt = f.source.space, f.target.space
+    degs = [src.degree(x) for x in word]
+    out = WordSum.zero(tgt)
+    for comp in compositions(len(word)):
+        for sigma in stairway_shuffles(*comp):
+            product = WordSum.unit(tgt)
+            off = 0
+            for size in comp:
+                block = [word[i] for i in sigma[off : off + size]]
+                product = product * WordSum.of_element(f.coefficient(block))
+                off += size
+            out += product.scale(koszul_sign(sigma, degs))
+    return out
+
+
+def odd_morphism() -> InftyMorphism:
+    """Identity plus Taylor coefficients on words of odd symbols, so that
+    blocks interleave odd factors and the Koszul signs matter."""
+    space = GradedSpace(
+        [("p", -1, 1), ("x", 0, 1), ("q", -1, 1), ("r", -1, 2)]
+        + [("c", -2, 2), ("c3", -2, 3), ("e", -3, 4), ("d", -1, 2)]
+    )
+    alg = SLAlgebra(space, {}, 7, name="odd")
+    taylor = {1: {(n,): Element.basis(space, n) for n in space.symbols()}}
+    taylor[2] = {
+        ("p", "q"): Element(space, {"c": 1}),
+        ("p", "r"): Element(space, {"c3": 2}),
+        ("q", "r"): Element(space, {"c3": 3}),
+        ("x", "q"): Element(space, {"d": 5}),
+    }
+    taylor[3] = {("p", "x", "q"): Element(space, {"c3": 7}), ("p", "q", "r"): Element(space, {"e": -1})}
+    return InftyMorphism(alg, alg, taylor, name="odd")
+
+
+@pytest.mark.parametrize("which", ["chain", "odd"])
+def test_extend_to_coalgebra_bounded_is_truncated(which):
+    from test_higher_arity import chain, scaled_morphism
+
+    f = scaled_morphism(chain()) if which == "chain" else odd_morphism()
+    syms = f.source.space.symbols()
+    rng = random.Random(5)
+    words = [w for m in (1, 2, 3, 4) for w in iter_words(f.source.space, m, max_weight=7)]
+    # non-canonical orders, repeated odd symbols and heavy words too
+    words += [tuple(rng.choice(syms) for _ in range(rng.randint(1, 5))) for _ in range(40)]
+    for word in words:
+        full = extend_to_coalgebra(f, word)
+        assert full == stairway_extension(f, word), word
+        for bound in range(1, 9):
+            assert extend_to_coalgebra(f, word, bound) == full.truncate(bound), (word, bound)
+    ws = WordSum.of_word(f.source.space, syms[2::-1]) + WordSum.of_word(f.source.space, syms[:2] * 2)
+    assert extend_to_coalgebra(f, ws, 3) == extend_to_coalgebra(f, ws).truncate(3)
+
+
+def test_extend_to_coalgebra_odd_signs_frozen():
+    f = odd_morphism()
+    # {p}{q}{r}, {p q}{r}, {p r}{q} (r passes q: sign -1), {p}{q r}, {p q r}
+    assert extend_to_coalgebra(f, ("p", "q", "r")).terms == {
+        ("p", "q", "r"): F(1),
+        ("r", "c"): F(1),
+        ("q", "c3"): F(-2),
+        ("p", "c3"): F(3),
+        ("e",): F(-1),
+    }
+
+
+def test_compose_identity_looks_up_singleton_blocks_only(monkeypatch):
+    n = 8
+    space = GradedSpace([("x1", 0, 1), ("x2", 0, 1)] + [(f"z{k}", 1, k) for k in range(2, n)])
+    brackets = {
+        k: {("x1",) * k: Element.basis(space, f"z{k}"), ("x2",) * k: -Element.basis(space, f"z{k}")}
+        for k in range(2, n)
+    }
+    alg = SLAlgebra(space, brackets, n)
+    outer, inner = InftyMorphism.identity(alg), InftyMorphism.identity(alg)
+    looked = []
+
+    class Recording(dict):
+        def get(self, key, default=None):
+            looked.append(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr(inner, "taylor", {1: Recording(inner.taylor[1])})
+    composite = compose_infty(outer, inner)
+    assert composite.taylor == outer.taylor
+    scanned = [w for m in range(1, n) for w in iter_words(space, m, max_weight=n)]
+    # one lookup per factor: only the all-singleton partition of each word
+    assert all(len(block) == 1 for block in looked)
+    assert len(looked) == sum(len(w) for w in scanned)
